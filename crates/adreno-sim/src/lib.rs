@@ -43,6 +43,8 @@
 //!     > f0.totals[TrackedCounter::VpcPcPrimitives]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod counters;
 pub mod font;

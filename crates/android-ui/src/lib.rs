@@ -26,6 +26,8 @@
 //! assert_eq!(sim.truth().final_text(), "p");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod compositor;
 pub mod events;

@@ -23,6 +23,8 @@
 //! assert!(acc < 0.5, "the baseline must be weak");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod forest;
 pub mod harness;
 pub mod knn;

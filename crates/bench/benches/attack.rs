@@ -14,7 +14,7 @@ use android_ui::KeyboardKind;
 use bench::{eval_credentials, ModelCache, TrialOptions};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpu_sc_attack::online::{infer_stream, OnlineConfig};
-use gpu_sc_attack::registry::Registry;
+use gpu_sc_attack::registry::{decode_model, encode_model, Quantization, Registry};
 use gpu_sc_attack::trace::Delta;
 use gpu_sc_attack::ClassifierModel;
 use input_bot::corpus::CredentialKind;
@@ -71,10 +71,12 @@ fn bench_render_fullscreen(c: &mut Criterion) {
 
 fn bench_model_serde(c: &mut Criterion) {
     let model = trained_model();
-    c.bench_function("model_to_bytes", |b| b.iter(|| black_box(&model).to_bytes()));
-    let bytes = model.to_bytes();
-    c.bench_function("model_from_bytes", |b| {
-        b.iter(|| ClassifierModel::from_bytes(black_box(bytes.clone())).unwrap())
+    c.bench_function("model_encode_gpmr", |b| {
+        b.iter(|| encode_model(black_box(&model), Quantization::F64))
+    });
+    let blob = encode_model(&model, Quantization::F64);
+    c.bench_function("model_decode_gpmr", |b| {
+        b.iter(|| decode_model(black_box(blob.clone())).unwrap())
     });
 }
 

@@ -79,17 +79,11 @@ pub fn modelsize(ctx: &Ctx) {
     report::section("§7.6", "classifier model sizes");
     let opts = TrialOptions::paper_default(0);
     let model = ctx.cache.model(opts.sim.device, opts.sim.keyboard, opts.sim.app);
-    let one = model.to_bytes().len();
-    report::kv("one model (GPCM wire)", format!("{:.2} kB (paper: 3.59 kB)", one as f64 / 1024.0));
-    let mut i16_size = one;
+    let size = |q| encode_model(&model, q).len();
     for q in Quantization::ALL {
-        let blob = encode_model(&model, q);
-        if q == Quantization::I16 {
-            i16_size = blob.len();
-        }
         report::kv(
             &format!("one model (GPMR registry, {})", q.name()),
-            format!("{:.2} kB", blob.len() as f64 / 1024.0),
+            format!("{:.2} kB", size(q) as f64 / 1024.0),
         );
     }
 
@@ -105,13 +99,13 @@ pub fn modelsize(ctx: &Ctx) {
         "store with 4 configurations",
         format!("{:.2} kB", store.total_wire_bytes() as f64 / 1024.0),
     );
-    let projected = one * 3_000;
+    let projected_mb = |q| (size(q) * 3_000) as f64 / (1024.0 * 1024.0);
     report::kv(
-        "projected 3,000-model app payload",
-        format!("{:.2} MB (paper: ≤13.40 MB)", projected as f64 / (1024.0 * 1024.0)),
+        "projected 3,000-model payload (f64 registry tier)",
+        format!("{:.2} MB (paper: ≤13.40 MB)", projected_mb(Quantization::F64)),
     );
     report::kv(
         "projected 3,000-model payload (i16 registry tier)",
-        format!("{:.2} MB", (i16_size * 3_000) as f64 / (1024.0 * 1024.0)),
+        format!("{:.2} MB", projected_mb(Quantization::I16)),
     );
 }

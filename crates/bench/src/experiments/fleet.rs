@@ -14,7 +14,7 @@
 //! Reported per (shards × sessions) row, all in deterministic sim time
 //! (byte-identical at any `--jobs`): completion/salvage/failure counts,
 //! key accuracy by degradation band, p50/p95/p99 press-to-inference
-//! latency, and scheduler pressure (quanta, sampler stalls). Wall-clock
+//! latency, and scheduler pressure (quanta). Wall-clock
 //! throughput (sessions/s, keys/s) goes to stderr and to the
 //! `bench.fleet.*` telemetry counters in `BENCH_experiments.json`.
 
@@ -77,7 +77,6 @@ struct Done {
     /// Press-to-inference latencies (ms, sim time) of matched presses.
     latencies_ms: Vec<u64>,
     quanta: u64,
-    sampler_stalls: u64,
 }
 
 impl Session for Task<'_> {
@@ -161,7 +160,6 @@ fn reduce_local(out: gpu_sc_attack::fleet::SessionOutcome) -> Done {
                 result.keys_before_corrections.iter().map(|k| (*k, k.decided_at)),
             ),
             quanta: out.stats.quanta,
-            sampler_stalls: out.stats.sampler_stalls,
         },
         Err(_) => Done {
             band,
@@ -173,7 +171,6 @@ fn reduce_local(out: gpu_sc_attack::fleet::SessionOutcome) -> Done {
             recovered_keys: 0,
             latencies_ms: Vec::new(),
             quanta: out.stats.quanta,
-            sampler_stalls: out.stats.sampler_stalls,
         },
     }
 }
@@ -192,7 +189,6 @@ fn reduce_split(out: wire::SplitSessionOutcome) -> Done {
             recovered_keys: split.result.keys.len(),
             latencies_ms: press_latencies(&out.truth, split.key_arrivals.into_iter()),
             quanta: out.quanta,
-            sampler_stalls: 0,
         },
         Err(_) => Done {
             band: "?",
@@ -204,7 +200,6 @@ fn reduce_split(out: wire::SplitSessionOutcome) -> Done {
             recovered_keys: 0,
             latencies_ms: Vec::new(),
             quanta: out.quanta,
-            sampler_stalls: 0,
         },
     }
 }
@@ -236,7 +231,7 @@ fn run_row(ctx: &Ctx, hub: &ModelCache, shards: usize, sessions: usize, seed: u6
         })
         .collect();
 
-    let fleet_config = FleetConfig { shards, ..FleetConfig::default() };
+    let fleet_config = FleetConfig { shards };
     let tasks: Vec<(Task<'_>, &'static str)> = inputs
         .into_iter()
         .enumerate()
@@ -319,16 +314,12 @@ pub fn fleet(ctx: &Ctx) {
         let failed = done.iter().filter(|d| d.failed).count();
         let keys: usize = done.iter().map(|d| d.recovered_keys).sum();
         let quanta: u64 = done.iter().map(|d| d.quanta).sum();
-        let stalls: u64 = done.iter().map(|d| d.sampler_stalls).sum();
 
         report::kv(
             format!("-- {shards} shard(s) x {sessions} sessions --").as_str(),
             format!("{completed} completed, {salvaged} salvaged, {failed} failed"),
         );
-        report::kv(
-            "keys recovered / scheduler quanta / sampler stalls",
-            format!("{keys} / {quanta} / {stalls}"),
-        );
+        report::kv("keys recovered / scheduler quanta", format!("{keys} / {quanta}"));
 
         // Accuracy by degradation band, in fixed band order.
         for band in

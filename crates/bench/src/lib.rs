@@ -29,6 +29,8 @@
 //! println!("recovered: {:?}", result.recovered_text);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod power;
 pub mod report;

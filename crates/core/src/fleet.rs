@@ -7,27 +7,25 @@
 //! supplies the orchestration layer:
 //!
 //! * [`Session`] — a cooperative task: one `step` runs one *quantum* of a
-//!   session (a bounded burst of sampling plus a bounded burst of
-//!   classification) and yields. [`minipool::Pool::par_drive`] requeues
+//!   session (one burst of sampling, then classification of that burst)
+//!   and yields. [`minipool::Pool::par_drive`] requeues
 //!   yielded sessions FIFO on a ring-shaped run queue, so quanta of
 //!   different sessions interleave on the same workers and one degraded
 //!   session can pin at most one worker while every other session keeps
 //!   flowing.
 //! * [`FleetSession`] — the in-process implementation: it owns its victim
 //!   [`UiSimulation`] and drives [`Sampler::next_sample`] into a
-//!   [`StreamingSession`] through the same lock-free [`crate::ring`] SPSC
-//!   that [`AttackService::eavesdrop`] uses, with backpressure: when the
-//!   classifier side falls behind, the ring fills, the sampler yields
-//!   instead of buffering, and sampler memory stays bounded at the ring
-//!   capacity (counted in [`SessionStats::sampler_stalls`]).
-//! * [`Fleet`] — shard bookkeeping: each shard is one [`AttackService`]
-//!   (its own `ModelStore`, typically sharing trained `ClassifierModel`s
-//!   by `Arc` — the hub/clients split), and sessions are assigned
-//!   round-robin.
+//!   [`StreamingSession`] in the same 64-sample bursts
+//!   [`AttackService::eavesdrop`] uses. Sampling and classification run
+//!   on the same thread within one quantum, so a session never holds more
+//!   than one burst of samples.
 //!
-//! Sessions are fully independent (each owns its simulation and its SPSC
-//! ring), so outcomes are byte-identical at any worker count; the `fleet`
-//! experiment in `crates/bench` pins that at 1000+ sessions.
+//! Shards are [`AttackService`]s (each with its own `ModelStore`,
+//! typically sharing trained `ClassifierModel`s by `Arc` — the hub/clients
+//! split); the caller picks a session's shard when it builds the session.
+//! Sessions are fully independent (each owns its simulation and its
+//! burst buffer), so outcomes are byte-identical at any worker count; the
+//! `fleet` experiment in `crates/bench` pins that at 1000+ sessions.
 //!
 //! Degraded sessions never stall a shard: a `FaultPlan` installed on a
 //! session's device degrades *that session's* coverage (or fails it with a
@@ -40,9 +38,8 @@ use android_ui::UiSimulation;
 use minipool::Pool;
 
 use crate::metrics::SessionScore;
-use crate::ring::{Consumer, Producer};
 use crate::sampler::{SampleStream, Sampler};
-use crate::service::{AttackService, ServiceError, SessionResult, StreamingSession};
+use crate::service::{AttackService, ServiceError, SessionResult, StreamingSession, SAMPLE_BURST};
 use crate::trace::Sample;
 
 /// A cooperative fleet task.
@@ -65,7 +62,7 @@ pub trait Session {
 /// run queue, returning outcomes in session order.
 ///
 /// Sessions must be independent of each other (each [`FleetSession`] owns
-/// its simulation, sampler, and ring), which makes the outcome vector
+/// its simulation and sampler), which makes the outcome vector
 /// byte-identical at any `Pool` worker count.
 pub fn run_sessions<S>(pool: &Pool, sessions: Vec<S>) -> Vec<S::Outcome>
 where
@@ -76,33 +73,19 @@ where
     pool.par_drive(sessions, |_, s| s.step())
 }
 
-/// Tuning knobs for [`FleetSession`] quanta and backpressure.
+/// Fleet construction settings.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
-    /// Number of shards ([`AttackService`] instances) sessions are
-    /// assigned to round-robin. Purely bookkeeping for [`Fleet`]; a
-    /// hand-built session carries its own shard id.
+    /// Number of shards the caller spreads sessions over. Unread by this
+    /// crate — a [`FleetSession`] carries its own shard id — and kept so
+    /// existing callers that record their shard count still compile.
     pub shards: usize,
-    /// Capacity of the per-session SPSC ring between sampling and
-    /// classification — the backpressure bound: the sampler can never run
-    /// more than this many samples ahead of the classifier.
-    pub ring_capacity: usize,
-    /// Upper bound on samples acquired per quantum (the sampling burst).
-    pub sample_quantum: usize,
-    /// Upper bound on samples drained and classified per quantum. Setting
-    /// this below `sample_quantum` models a classifier slower than the
-    /// sampler; the ring then fills and sampling stalls instead of
-    /// buffering unboundedly.
-    pub classify_quantum: usize,
 }
 
 impl Default for FleetConfig {
-    /// One shard; ring and both quanta sized to the same 64-slot burst the
-    /// single-session driver uses (`SAMPLE_RING_CAPACITY`), so a lone
-    /// fleet session does the same work per visit as
-    /// [`AttackService::eavesdrop`] does per ring generation.
+    /// One shard.
     fn default() -> Self {
-        FleetConfig { shards: 1, ring_capacity: 64, sample_quantum: 64, classify_quantum: 64 }
+        FleetConfig { shards: 1 }
     }
 }
 
@@ -111,12 +94,6 @@ impl Default for FleetConfig {
 pub struct SessionStats {
     /// Quanta the scheduler spent on this session (steps taken).
     pub quanta: u64,
-    /// Times the sampling burst hit a full ring and yielded early — each
-    /// one is backpressure doing its job.
-    pub sampler_stalls: u64,
-    /// Most samples ever resident in the ring; never exceeds the ring
-    /// capacity by construction.
-    pub max_ring_occupancy: u64,
 }
 
 /// What one fleet session produced.
@@ -155,17 +132,14 @@ struct Live<'s> {
     sampler: Sampler,
     stream: SampleStream,
     session: StreamingSession<'s>,
-    /// The sample stream has ended; only draining remains.
-    sampling_done: bool,
 }
 
 /// One in-process eavesdropping session as a cooperative fleet task.
 ///
 /// Owns its victim [`UiSimulation`] end to end. Each [`Session::step`]
-/// runs one quantum: acquire up to [`FleetConfig::sample_quantum`] samples
-/// into the SPSC ring (stopping early — a *stall* — if the ring fills),
-/// then drain up to [`FleetConfig::classify_quantum`] of them into the
-/// [`StreamingSession`] stage pipeline. The outcome is identical to
+/// runs one quantum: acquire up to 64 samples (fewer when the stream
+/// ends), then push them into the [`StreamingSession`] stage pipeline as
+/// one burst. The outcome is identical to
 /// running [`AttackService::eavesdrop`] on the same seeded simulation;
 /// only the interleaving with other sessions differs.
 ///
@@ -178,13 +152,6 @@ struct Live<'s> {
 pub struct FleetSession<'s> {
     sim: UiSimulation,
     shard: usize,
-    sample_quantum: usize,
-    classify_quantum: usize,
-    ring_tx: Producer<Sample>,
-    ring_rx: Consumer<Sample>,
-    /// Samples currently in the ring (`pushed - popped`); the ring itself
-    /// deliberately has no shared length counter.
-    ring_occupancy: u64,
     burst: Vec<Sample>,
     stats: SessionStats,
     state: State<'s>,
@@ -194,14 +161,14 @@ impl<'s> FleetSession<'s> {
     /// Prepares a session on `shard`'s service, eavesdropping `sim` until
     /// `until`. Device faults at open time don't panic or stall — they
     /// surface as a [`ServiceError::Device`] outcome on the first step.
+    /// `config` is not read (see [`FleetConfig::shards`]).
     pub fn new(
         shard: usize,
         service: &'s AttackService,
         sim: UiSimulation,
         until: SimInstant,
-        config: &FleetConfig,
+        _config: &FleetConfig,
     ) -> Self {
-        let (ring_tx, ring_rx) = crate::ring::spsc::<Sample>(config.ring_capacity);
         let state = match Sampler::open(sim.device(), service.config().sampler) {
             Ok(mut sampler) => {
                 let stream = sampler.start_stream(&sim, until);
@@ -209,7 +176,6 @@ impl<'s> FleetSession<'s> {
                     sampler,
                     stream,
                     session: service.streaming_session(),
-                    sampling_done: false,
                 }))
             }
             Err(err) => State::Failed(ServiceError::Device(err)),
@@ -217,12 +183,7 @@ impl<'s> FleetSession<'s> {
         FleetSession {
             sim,
             shard,
-            sample_quantum: config.sample_quantum.max(1),
-            classify_quantum: config.classify_quantum.max(1),
-            ring_tx,
-            ring_rx,
-            ring_occupancy: 0,
-            burst: Vec::with_capacity(config.classify_quantum.max(1)),
+            burst: Vec::with_capacity(SAMPLE_BURST),
             stats: SessionStats::default(),
             state: State::Finished, // replaced below
         }
@@ -243,7 +204,6 @@ impl<'s> FleetSession<'s> {
     /// simulation is dropped, so the outcome is self-contained.
     fn outcome(&mut self, result: Result<SessionResult, ServiceError>) -> SessionOutcome {
         spansight::count("core.fleet.quanta", self.stats.quanta);
-        spansight::count("core.fleet.sampler_stalls", self.stats.sampler_stalls);
         let score = result.as_ref().ok().map(|r| r.score(&self.sim));
         SessionOutcome {
             shard: self.shard,
@@ -263,48 +223,21 @@ impl Session for FleetSession<'_> {
         match std::mem::replace(&mut self.state, State::Finished) {
             State::Failed(err) => Some(self.outcome(Err(err))),
             State::Running(mut live) => {
-                // Sampling burst: up to `sample_quantum` reads, stopping
-                // early when the ring fills (backpressure) or the stream
-                // ends.
-                if !live.sampling_done {
-                    for _ in 0..self.sample_quantum {
-                        if self.ring_tx.is_full() {
-                            self.stats.sampler_stalls += 1;
-                            break;
-                        }
-                        match live.sampler.next_sample(&mut live.stream, &mut self.sim) {
-                            Some(sample) => {
-                                self.ring_tx
-                                    .push(sample)
-                                    .expect("a non-full SPSC ring accepts a push");
-                                self.ring_occupancy += 1;
-                                self.stats.max_ring_occupancy =
-                                    self.stats.max_ring_occupancy.max(self.ring_occupancy);
-                            }
-                            None => {
-                                live.sampling_done = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                // Classification burst: drain up to `classify_quantum`
-                // ring slots and push them through the stage pipeline as
-                // one batch.
-                self.burst.clear();
-                while self.burst.len() < self.classify_quantum {
-                    match self.ring_rx.pop() {
-                        Some(s) => {
-                            self.ring_occupancy -= 1;
-                            self.burst.push(s);
-                        }
-                        None => break,
+                // One burst: up to `SAMPLE_BURST` reads, stopping early
+                // when the stream ends, pushed through the stage pipeline
+                // as one batch.
+                let mut stream_done = false;
+                while !stream_done && self.burst.len() < SAMPLE_BURST {
+                    match live.sampler.next_sample(&mut live.stream, &mut self.sim) {
+                        Some(sample) => self.burst.push(sample),
+                        None => stream_done = true,
                     }
                 }
                 live.session.push_samples(&self.burst);
+                self.burst.clear();
 
-                if live.sampling_done && self.ring_rx.is_empty() {
-                    let Live { mut sampler, stream, session, .. } = *live;
+                if stream_done {
+                    let Live { mut sampler, stream, session } = *live;
                     let result = match sampler.finish_stream(stream) {
                         Ok(()) => session.finish(&sampler.report()),
                         Err(err) => Err(ServiceError::Device(err)),
@@ -319,60 +252,6 @@ impl Session for FleetSession<'_> {
     }
 }
 
-/// Shard bookkeeping for an all-in-process fleet: sessions assigned
-/// round-robin over per-shard [`AttackService`]s, then driven to
-/// completion by [`run_sessions`].
-pub struct Fleet<'s> {
-    shards: Vec<&'s AttackService>,
-    config: FleetConfig,
-    sessions: Vec<FleetSession<'s>>,
-}
-
-impl<'s> Fleet<'s> {
-    /// Creates a fleet over one service per shard. Each service carries a
-    /// shard's own [`crate::offline::ModelStore`]; sharing one registry
-    /// handle between the shards — one encoded blob, one decoded model —
-    /// is the caller's choice (see `ModelStore::add_handle` and
-    /// [`crate::registry::Registry`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is empty.
-    pub fn new(shards: Vec<&'s AttackService>, config: FleetConfig) -> Self {
-        assert!(!shards.is_empty(), "a fleet needs at least one shard");
-        Fleet { shards, config, sessions: Vec::new() }
-    }
-
-    /// The shard index the `n`-th enrolled session lands on.
-    pub fn shard_for(&self, index: usize) -> usize {
-        index % self.shards.len()
-    }
-
-    /// Enrolls a victim simulation as the next session (round-robin shard
-    /// assignment) and returns its shard index.
-    pub fn enroll(&mut self, sim: UiSimulation, until: SimInstant) -> usize {
-        let shard = self.shard_for(self.sessions.len());
-        self.sessions.push(FleetSession::new(shard, self.shards[shard], sim, until, &self.config));
-        shard
-    }
-
-    /// Number of sessions enrolled so far.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether no sessions are enrolled.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Drives every enrolled session to completion on `pool`, returning
-    /// outcomes in enrollment order.
-    pub fn run(self, pool: &Pool) -> Vec<SessionOutcome> {
-        run_sessions(pool, self.sessions)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,40 +261,6 @@ mod tests {
 
     fn empty_service() -> AttackService {
         AttackService::new(ModelStore::new(), ServiceConfig::default())
-    }
-
-    /// Backpressure: with a classifier draining one sample per quantum
-    /// against a 64-per-quantum sampler, the ring must fill, the sampler
-    /// must stall, and resident samples must stay bounded at the ring
-    /// capacity — the sampler cannot buffer ahead of a slow classifier.
-    #[test]
-    fn slow_classifier_bounds_sampler_memory() {
-        let service = empty_service();
-        let config =
-            FleetConfig { shards: 1, ring_capacity: 8, sample_quantum: 64, classify_quantum: 1 };
-        let sim = UiSimulation::new(SimConfig::paper_default(11));
-        let mut session =
-            FleetSession::new(0, &service, sim, SimInstant::from_millis(2_000), &config);
-        let outcome = loop {
-            if let Some(out) = session.step() {
-                break out;
-            }
-        };
-        // No model in the store: the session fails cleanly, but sampling
-        // and scheduling still ran in full.
-        assert_eq!(outcome.result, Err(ServiceError::UnrecognisedDevice));
-        let ring_slots = 8u64; // capacity 8 is already a power of two
-        assert!(
-            outcome.stats.max_ring_occupancy <= ring_slots,
-            "ring occupancy {} exceeded the backpressure bound {}",
-            outcome.stats.max_ring_occupancy,
-            ring_slots
-        );
-        assert!(
-            outcome.stats.sampler_stalls > 0,
-            "a 64:1 sampler:classifier ratio must hit the full ring"
-        );
-        assert!(outcome.stats.quanta > 1, "the session must have yielded at least once");
     }
 
     /// A session whose device refuses to open yields a Device error
@@ -438,38 +283,13 @@ mod tests {
         assert!(outcome.score.is_none());
     }
 
-    /// Round-robin shard assignment covers every shard.
-    #[test]
-    fn fleet_assigns_shards_round_robin() {
-        let a = empty_service();
-        let b = empty_service();
-        let mut fleet = Fleet::new(vec![&a, &b], FleetConfig { shards: 2, ..Default::default() });
-        assert!(fleet.is_empty());
-        let shards: Vec<usize> = (0..5)
-            .map(|i| {
-                fleet.enroll(
-                    UiSimulation::new(SimConfig::paper_default(20 + i)),
-                    SimInstant::from_millis(300),
-                )
-            })
-            .collect();
-        assert_eq!(shards, vec![0, 1, 0, 1, 0]);
-        assert_eq!(fleet.len(), 5);
-        let outcomes = fleet.run(&Pool::new(2));
-        assert_eq!(outcomes.len(), 5);
-        for (i, out) in outcomes.iter().enumerate() {
-            assert_eq!(out.shard, i % 2);
-        }
-    }
-
     /// Outcomes are identical at any worker count: the scheduler may
     /// interleave differently, but each session owns its world.
     #[test]
     fn outcomes_identical_across_worker_counts() {
         let run = |jobs: usize| -> Vec<SessionOutcome> {
             let service = empty_service();
-            let config =
-                FleetConfig { ring_capacity: 4, classify_quantum: 2, ..Default::default() };
+            let config = FleetConfig::default();
             let sessions: Vec<FleetSession<'_>> = (0..6)
                 .map(|i| {
                     FleetSession::new(

@@ -22,12 +22,10 @@
 //!   eviction, online adaptation with lineage;
 //! * [`stage`] — the push-based streaming [`Stage`] abstraction all of the
 //!   above compose through;
-//! * [`ring`] — the lock-free SPSC ring that carries sampled slots from the
-//!   reader loop to the stage pipeline in bursts;
 //! * [`service`] — the end-to-end background service;
 //! * [`fleet`] — fleet-scale orchestration: thousands of concurrent
-//!   sessions as cooperative tasks over a bounded worker set, with
-//!   SPSC-ring backpressure per session;
+//!   sessions as cooperative tasks over a bounded worker set, each
+//!   sampling and classifying one burst per quantum;
 //! * [`metrics`] — the accuracy metrics of §7.
 //!
 //! This library exists for research and defensive evaluation: it runs only
@@ -59,6 +57,7 @@
 //! println!("recovered: {}", result.recovered_text);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod appswitch;
@@ -70,14 +69,13 @@ pub mod metrics;
 pub mod offline;
 pub mod online;
 pub mod registry;
-pub mod ring;
 pub mod sampler;
 pub mod service;
 pub mod stage;
 pub mod trace;
 
 pub use classify::{BatchScratch, Classification, ClassifierModel, KeyCentroid, ModelMeta};
-pub use fleet::{Fleet, FleetConfig, FleetSession, Session, SessionOutcome, SessionStats};
+pub use fleet::{FleetConfig, FleetSession, Session, SessionOutcome, SessionStats};
 pub use launch::LaunchDetector;
 pub use metrics::{Aggregate, SessionScore};
 pub use offline::{ModelStore, Trainer, TrainerConfig};

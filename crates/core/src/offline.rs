@@ -390,6 +390,12 @@ impl ModelStore {
             return Err(ModelDecodeError::Truncated);
         }
         let n = data.get_u32() as usize;
+        // Every model needs at least its 4-byte length prefix, so a count
+        // the remaining bytes cannot hold is rejected before it sizes an
+        // allocation.
+        if n > data.remaining() / 4 {
+            return Err(ModelDecodeError::Truncated);
+        }
         let mut models = Vec::with_capacity(n);
         for _ in 0..n {
             if data.remaining() < 4 {
@@ -639,6 +645,11 @@ mod tests {
         );
         assert_eq!(
             ModelStore::from_bytes(Bytes::from_static(b"\x00\x00\x00\x02\x00\x00\x00\x10")),
+            Err(ModelDecodeError::Truncated)
+        );
+        // A u32::MAX model count must not size a 32 GiB allocation.
+        assert_eq!(
+            ModelStore::from_bytes(Bytes::from_static(b"\xff\xff\xff\xff")),
             Err(ModelDecodeError::Truncated)
         );
     }

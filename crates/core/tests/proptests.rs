@@ -105,42 +105,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn model_serialisation_round_trips(model in arb_model()) {
-        let bytes = model.to_bytes();
-        let back = ClassifierModel::from_bytes(bytes).unwrap();
-        prop_assert_eq!(back.meta(), model.meta());
-        prop_assert_eq!(back.centroids(), model.centroids());
-        prop_assert_eq!(back.kb_signature(), model.kb_signature());
-        prop_assert_eq!(back.app_signature(), model.app_signature());
-        prop_assert_eq!(back.ambient_signatures(), model.ambient_signatures());
-        prop_assert_eq!(back.launch_signature(), model.launch_signature());
-        prop_assert_eq!(back.switch_threshold(), model.switch_threshold());
-        prop_assert!((back.threshold() - model.threshold()).abs() / model.threshold() < 1e-5);
-    }
-
-    #[test]
     fn store_serialisation_round_trips(models in prop::collection::vec(arb_model(), 0..4)) {
         let mut store = ModelStore::new();
         for m in models {
             store.add(m);
         }
         let back = ModelStore::from_bytes(store.to_bytes()).unwrap();
-        // Thresholds round-trip through f32, so compare the canonical wire
-        // form rather than the in-memory f64 values.
+        // Each blob is re-served verbatim, so a decoded store re-encodes to
+        // the same bytes.
         prop_assert_eq!(back.to_bytes(), store.to_bytes());
         prop_assert_eq!(back.len(), store.len());
-    }
-
-    #[test]
-    fn truncated_models_never_panic(model in arb_model(), cut in 0usize..200) {
-        let bytes = model.to_bytes();
-        let cut = cut.min(bytes.len());
-        let truncated = bytes.slice(0..bytes.len() - cut);
-        // Any outcome is fine except a panic; full-length must decode.
-        let result = ClassifierModel::from_bytes(truncated);
-        if cut == 0 {
-            prop_assert!(result.is_ok());
-        }
     }
 
     #[test]
@@ -222,7 +196,7 @@ proptest! {
         let report = SamplerReport::default();
         let batch = service.process_trace(&trace, &report);
         prop_assert_eq!(service.process_trace_streaming(&trace, &report), batch.clone());
-        // Burst pushes (the ring-drain shape of the live driver) must be
+        // Burst pushes (the shape of the live driver's sample bursts) must be
         // indistinguishable from per-sample pushes, whatever the burst
         // boundaries.
         let samples: Vec<_> = trace.iter().collect();
@@ -407,8 +381,8 @@ proptest! {
         chunk in 1usize..9,
         lookahead in any::<bool>(),
     ) {
-        // Feeding Algorithm 1 whole bursts (the streaming driver's ring
-        // drains) must replay the per-change push sequence exactly: same
+        // Feeding Algorithm 1 whole bursts (as the streaming driver does)
+        // must replay the per-change push sequence exactly: same
         // events in the same order, same stats, for any burst boundaries,
         // in both greedy and lookahead modes.
         use gpu_sc_attack::online::InferStage;

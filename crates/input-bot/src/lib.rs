@@ -26,6 +26,8 @@
 //! assert!(!plan.events.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod script;
 pub mod timing;

@@ -29,6 +29,7 @@
 //! and over any seeded lossy plan it still *completes*, reporting the
 //! damage instead of failing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc;

@@ -254,8 +254,8 @@ impl ExfilClient {
     /// Stages a burst of counter samples for exfiltration in one pass.
     /// Frame boundaries depend only on the cumulative sample count, so this
     /// produces exactly the frames the equivalent [`ExfilClient::push_sample`]
-    /// calls would. [`run_split_session`] drains its sampling ring straight
-    /// into this.
+    /// calls would. [`run_split_session`] hands it one sample burst at a
+    /// time.
     pub fn push_samples(&mut self, samples: &[Sample]) {
         let mut staged = std::mem::take(&mut self.staged);
         for &s in samples {
@@ -673,7 +673,8 @@ fn fold_link(
 
 /// Where a [`SplitDriver`] stands in the session lifecycle.
 enum SplitPhase {
-    /// Counter sampling still running; each step is one ring generation.
+    /// Counter sampling still running; each step reads one wire batch of
+    /// samples.
     Streaming,
     /// Sampling is over; each step is one coarse drain tick until the final
     /// handshake lands or the deadline passes.
@@ -686,8 +687,8 @@ enum SplitPhase {
 }
 
 /// A split session as an incremental state machine: one [`SplitDriver::step`]
-/// call runs one *quantum* (a ring generation while sampling, a 5 ms drain
-/// tick afterwards) and yields. [`run_split_session`] drives it in a tight
+/// call runs one *quantum* (one wire batch of samples while sampling, a 5 ms
+/// drain tick afterwards) and yields. [`run_split_session`] drives it in a tight
 /// loop for the one-session case; the fleet orchestrator steps many drivers
 /// interleaved on the same workers via [`SplitSessionTask`].
 ///
@@ -705,8 +706,8 @@ pub struct SplitDriver<'s> {
     /// `Some` while streaming; consumed by `finish_stream` at the
     /// streaming → draining transition.
     stream: Option<gpu_sc_attack::sampler::SampleStream>,
-    ring_tx: gpu_sc_attack::ring::Producer<Sample>,
-    ring_rx: gpu_sc_attack::ring::Consumer<Sample>,
+    /// Samples read since the last hand-off to the batcher; at most one
+    /// wire batch.
     burst: Vec<Sample>,
     phase: SplitPhase,
     _span: spansight::Span,
@@ -741,15 +742,14 @@ impl<'s> SplitDriver<'s> {
         let mut sampler = Sampler::open(sim.device(), service.config().sampler)?;
         let stream = sampler.start_stream(sim, until);
         client.connect(&mut transport, sim.now());
-        // Same SPSC handoff as the in-process driver: the reader loop fills
-        // the ring, the exfiltration side drains it in bursts. Sizing the
-        // ring at one wire batch means each drain stages exactly one
+        // Same burst shape as the in-process driver: the reader loop fills
+        // one burst, the exfiltration side takes it whole. Sizing the burst
+        // at one wire batch means each hand-off stages exactly one
         // SampleBatch frame. Both ends still pump at every read slot — the
         // retransmit/ack clock needs the fine-grained ticks (its timeouts
-        // are shorter than a ring's worth of slots) — but those per-slot
-        // pumps carry no staging work; the batcher is fed once per drain.
-        let (ring_tx, ring_rx) = gpu_sc_attack::ring::spsc::<Sample>(config.batch_samples);
-        let burst = Vec::with_capacity(ring_tx.capacity());
+        // are shorter than a burst's worth of slots) — but those per-slot
+        // pumps carry no staging work; the batcher is fed once per burst.
+        let burst = Vec::with_capacity(config.batch_samples.max(1));
         Ok(SplitDriver {
             service,
             config,
@@ -758,8 +758,6 @@ impl<'s> SplitDriver<'s> {
             server,
             sampler,
             stream: Some(stream),
-            ring_tx,
-            ring_rx,
             burst,
             phase: SplitPhase::Streaming,
             _span: span,
@@ -774,10 +772,10 @@ impl<'s> SplitDriver<'s> {
             SplitPhase::Streaming => {
                 let stream = self.stream.as_mut().expect("streaming phase owns a stream");
                 let mut stream_done = false;
-                while !self.ring_tx.is_full() {
+                while self.burst.len() < self.config.batch_samples.max(1) {
                     match self.sampler.next_sample(stream, sim) {
                         Some(sample) => {
-                            self.ring_tx.push(sample).expect("a non-full SPSC ring accepts a push");
+                            self.burst.push(sample);
                             self.client.pump(&mut self.transport, sim.now());
                             self.server.pump(&mut self.transport, sim.now());
                         }
@@ -787,9 +785,8 @@ impl<'s> SplitDriver<'s> {
                         }
                     }
                 }
-                self.burst.clear();
-                self.ring_rx.drain_into(&mut self.burst);
                 self.client.push_samples(&self.burst);
+                self.burst.clear();
                 self.client.pump(&mut self.transport, sim.now());
                 self.server.pump(&mut self.transport, sim.now());
                 if stream_done {

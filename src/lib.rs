@@ -13,6 +13,8 @@
 //! * [`minipool`] — the scoped worker pool and cooperative ring run queue
 //!   the fleet orchestrator schedules sessions on.
 
+#![forbid(unsafe_code)]
+
 pub use adreno_sim;
 pub use android_ui;
 pub use baseline;

@@ -104,7 +104,7 @@ fn mixed_fleet<'s>(service: &'s AttackService, config: &FleetConfig) -> Vec<Mixe
 fn mixed_fleet_outcomes_identical_at_any_worker_count() {
     let store = single_store();
     let service = AttackService::new(store, ServiceConfig::default());
-    let config = FleetConfig { ring_capacity: 16, classify_quantum: 16, ..FleetConfig::default() };
+    let config = FleetConfig::default();
     let run = |jobs: usize| run_sessions(&Pool::new(jobs), mixed_fleet(&service, &config));
     let seq = run(1);
     let par = run(4);
