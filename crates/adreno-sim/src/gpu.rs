@@ -250,6 +250,7 @@ mod tests {
 
     #[test]
     fn counters_monotonic_across_frames() {
+        let _caches = crate::memo::test_lock::shared();
         let mut gpu = Gpu::new(GpuModel::Adreno650);
         let dl = simple_dl();
         let f1 = gpu.submit(&dl, SimInstant::ZERO);
@@ -262,6 +263,7 @@ mod tests {
 
     #[test]
     fn mid_frame_read_sees_partial_delta() {
+        let _caches = crate::memo::test_lock::shared();
         let mut gpu = Gpu::new(GpuModel::Adreno650);
         // Uniform-cost primitives so checkpoints spread evenly in time.
         let mut dl = DrawList::new(1024, 1024);
@@ -280,6 +282,7 @@ mod tests {
 
     #[test]
     fn queued_jobs_execute_back_to_back() {
+        let _caches = crate::memo::test_lock::shared();
         let mut gpu = Gpu::new(GpuModel::Adreno650);
         let dl = simple_dl();
         let f1 = gpu.submit(&dl, SimInstant::ZERO);
@@ -313,6 +316,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_totals() {
+        let _caches = crate::memo::test_lock::shared();
         let mut gpu = Gpu::new(GpuModel::Adreno650);
         let dl = simple_dl();
         let mut expected = CounterSet::ZERO;

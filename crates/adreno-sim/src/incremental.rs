@@ -514,6 +514,7 @@ mod tests {
 
     #[test]
     fn frame_sequence_matches_uncached() {
+        let _caches = crate::memo::test_lock::shared();
         let params = params();
         let mut r = FrameRenderer::new();
         let frames = [
@@ -540,6 +541,7 @@ mod tests {
 
     #[test]
     fn non_occluding_change_reuses_every_other_layer() {
+        let _caches = crate::memo::test_lock::shared();
         let params = params();
         let mut r = FrameRenderer::new();
         let mut base = keyboard_frame(520, None, 0);
@@ -559,6 +561,7 @@ mod tests {
 
     #[test]
     fn occluder_change_remasks_only_below() {
+        let _caches = crate::memo::test_lock::shared();
         let params = params();
         let mut r = FrameRenderer::new();
         let _ = r.render(&keyboard_frame(528, Some('w'), 0), &params);
@@ -575,6 +578,7 @@ mod tests {
 
     #[test]
     fn identical_frame_returns_previous_output_arc() {
+        let _caches = crate::memo::test_lock::shared();
         let params = params();
         let mut r = FrameRenderer::new();
         let dl = keyboard_frame(536, Some('q'), 3);
@@ -585,6 +589,7 @@ mod tests {
 
     #[test]
     fn viewport_change_is_handled_as_non_sequential() {
+        let _caches = crate::memo::test_lock::shared();
         let params = params();
         let mut r = FrameRenderer::new();
         let _ = r.render(&keyboard_frame(544, None, 0), &params);
@@ -599,6 +604,7 @@ mod tests {
 
     #[test]
     fn empty_draw_list_renders_to_zero() {
+        let _caches = crate::memo::test_lock::shared();
         let params = params();
         let mut r = FrameRenderer::new();
         let dl = DrawList::new(64, 64);
@@ -610,6 +616,7 @@ mod tests {
 
     #[test]
     fn layer_insert_and_delete_stay_identical() {
+        let _caches = crate::memo::test_lock::shared();
         let params = params();
         let mut r = FrameRenderer::new();
         // Grow and shrink the layer stack; positional slot alignment shifts
@@ -627,6 +634,7 @@ mod tests {
 
     #[test]
     fn renderer_set_keys_streams_by_viewport_and_falls_back() {
+        let _caches = crate::memo::test_lock::shared();
         let params = params();
         let mut set = RendererSet::new();
         // Interleave two viewports: each keeps its own diff stream.

@@ -336,6 +336,27 @@ impl<V> GlyphCache<V> {
     }
 }
 
+/// Isolates this crate's unit tests from each other around the
+/// process-global render caches: tests that render through them share the
+/// lock, a test that resets the caches or reads their global counters holds
+/// it alone.
+#[cfg(test)]
+pub(crate) mod test_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static CACHES: RwLock<()> = RwLock::new(());
+
+    /// For a test that renders through the global caches.
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        CACHES.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// For a test that resets the global caches or asserts on their counters.
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        CACHES.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,6 +373,7 @@ mod tests {
 
     #[test]
     fn cached_render_matches_uncached() {
+        let _caches = test_lock::shared();
         let params = GpuModel::Adreno650.params();
         for ch in ['a', 'w', '#'] {
             let dl = sample_list(ch);
@@ -395,6 +417,9 @@ mod tests {
 
     #[test]
     fn stats_count_hits_and_misses() {
+        // Alone: concurrent renders would move the global counters between
+        // the two reads, and the reset would race their cache use.
+        let _caches = test_lock::exclusive();
         reset_render_caches();
         let params = GpuModel::Adreno650.params();
         let dl = sample_list('q');

@@ -6,6 +6,9 @@
 //!   pre-whitened `simdlite` kernel scan with the norm-gap prescreen;
 //! * batched classification — per-delta `classify` calls vs one row-outer
 //!   `classify_batch` pass over the same burst;
+//! * Algorithm 1's signature peeling on rejected deltas — the retained
+//!   per-signature `classify` loop vs the screened accept probe
+//!   (`ClassifierModel::accepts`), winners asserted identical first;
 //! * delta extraction — the AoS streaming stage, the PR 5-era row-major
 //!   batch pass (retained verbatim), and the current regime-adaptive
 //!   extractor, on a dense synthetic trace *and* on a paper-regime
@@ -31,7 +34,7 @@ use gpu_sc_attack::trace::{
     extract_deltas_with_resets, extract_deltas_with_resets_scratch, Delta, DeltaStage,
     ExtractScratch, Sample, Trace,
 };
-use gpu_sc_attack::{BatchScratch, ClassifierModel};
+use gpu_sc_attack::{BatchScratch, Classification, ClassifierModel};
 use kgsl::abi::{IoctlRequest, KgslPerfcounterReadGroup, IOCTL_KGSL_PERFCOUNTER_READ};
 
 fn trained_model() -> ClassifierModel {
@@ -202,6 +205,78 @@ fn bench_classify_batch_vs_per_delta(c: &mut Criterion) {
     });
 }
 
+/// Deltas that fail direct classification, shaped like what reaches
+/// Algorithm 1's peeling step in a session: per key, the popup merged with
+/// a field redraw (the true signature's residual is accepted), a bare field
+/// redraw (an echo or cursor blink), a half popup caught by a read boundary
+/// and a popup-hide frame (no residual is accepted).
+fn rejected_delta_workload(model: &ClassifierModel) -> Vec<CounterSet> {
+    let ambients = model.ambient_signatures();
+    let mut deltas = Vec::new();
+    for (i, c) in model.centroids().iter().enumerate() {
+        let ambient = ambients[i % ambients.len()];
+        deltas.push(c.values + ambient);
+        deltas.push(ambient);
+        deltas.push(CounterSet::from_array(c.values.as_array().map(|v| v / 2)));
+        deltas.push(*model.kb_signature());
+    }
+    deltas.retain(|d| model.classify_naive(d).key().is_none());
+    deltas
+}
+
+/// The winning peel of `v` — `(key, signature index, distance bits)` — with
+/// `accepted` deciding each residual; ties keep the earlier signature.
+fn best_peel(
+    model: &ClassifierModel,
+    v: &CounterSet,
+    accepted: impl Fn(&CounterSet) -> Option<(char, f64)>,
+) -> Option<(char, usize, u64)> {
+    let mut best: Option<(f64, char, usize)> = None;
+    for (i, sig) in model.ambient_signatures().iter().enumerate() {
+        let Some(residual) = v.checked_sub(sig) else { continue };
+        if let Some((ch, distance)) = accepted(&residual) {
+            if best.is_none_or(|(d, ..)| distance < d) {
+                best = Some((distance, ch, i));
+            }
+        }
+    }
+    best.map(|(d, ch, i)| (ch, i, d.to_bits()))
+}
+
+/// The peeling loop as Algorithm 1 ran it before the accept probe, retained
+/// as the same-run baseline: one full, telemetered `classify` per residual.
+fn peel_with_classify(model: &ClassifierModel, v: &CounterSet) -> Option<(char, usize, u64)> {
+    best_peel(model, v, |r| match model.classify(r) {
+        Classification::Key { ch, distance } => Some((ch, distance)),
+        Classification::Rejected { .. } => None,
+    })
+}
+
+fn bench_peel_rejected_delta(c: &mut Criterion) {
+    let model = trained_model();
+    let deltas = rejected_delta_workload(&model);
+    let reference: Vec<_> = deltas.iter().map(|v| peel_with_classify(&model, v)).collect();
+    let probed: Vec<_> =
+        deltas.iter().map(|v| best_peel(&model, v, |r| model.accepts(r))).collect();
+    assert_eq!(probed, reference, "accept probe must pick the classify loop's winners");
+    assert!(reference.iter().any(Option::is_some), "no delta peels: the workload is vacuous");
+    assert!(reference.iter().any(Option::is_none), "every delta peels: no rejected path");
+    c.bench_function("infer/peel_rejected_delta_classify_reference", |b| {
+        b.iter(|| {
+            for v in &deltas {
+                black_box(peel_with_classify(&model, black_box(v)));
+            }
+        })
+    });
+    c.bench_function("infer/peel_rejected_delta", |b| {
+        b.iter(|| {
+            for v in &deltas {
+                black_box(best_peel(&model, black_box(v), |r| model.accepts(r)));
+            }
+        })
+    });
+}
+
 /// A synthetic 5k-sample monotone trace with idle windows and a couple of
 /// counter resets — ~⅔ of windows busy, the worst case for extraction.
 fn synthetic_trace() -> (Trace, Vec<Sample>) {
@@ -333,6 +408,7 @@ criterion_group!(
     benches,
     bench_classify_naive_vs_pruned,
     bench_classify_batch_vs_per_delta,
+    bench_peel_rejected_delta,
     bench_extraction_aos_vs_soa,
     bench_extraction_paper_regime,
     bench_read_loop_alloc_vs_scratch

@@ -129,6 +129,13 @@ struct PreparedCentroids {
     /// `norms[order[k]]` — the norms in visit order, one contiguous array
     /// for the outward scan's binary search and gap tests.
     sorted_norms: Vec<f64>,
+    /// Inclusive integer range of probe totals the magnitude gate could
+    /// accept against *some* centroid: `[min gate_total·(1−tol),
+    /// max gate_total·(1+tol)]`, widened by [`SCREEN_REL_SLACK`] and ±2 so
+    /// the gate's own float rounding never lands outside it. Empty
+    /// (`lo > hi`) when no centroid has a positive total. The accept
+    /// probe's first screen.
+    gate_hull: (u64, u64),
 }
 
 impl PreparedCentroids {
@@ -136,7 +143,7 @@ impl PreparedCentroids {
         let rows: Vec<[f64; NUM_TRACKED]> =
             centroids.iter().map(|c| whiten(&c.values, weights)).collect();
         let norms: Vec<f64> = rows.iter().map(|r| simdlite::sq_norm_fixed(r).sqrt()).collect();
-        let gate_totals = centroids
+        let gate_totals: Vec<f64> = centroids
             .iter()
             .map(|c| {
                 centroids.iter().find(|o| o.ch == c.ch).map(|o| o.values.total()).unwrap_or(0)
@@ -146,8 +153,41 @@ impl PreparedCentroids {
         let mut order: Vec<u32> = (0..rows.len() as u32).collect();
         order.sort_by(|&a, &b| norms[a as usize].total_cmp(&norms[b as usize]).then(a.cmp(&b)));
         let sorted_norms = order.iter().map(|&i| norms[i as usize]).collect();
-        PreparedCentroids { rows, gate_totals, order, sorted_norms }
+        let gate_hull = gate_hull(&gate_totals);
+        PreparedCentroids { rows, gate_totals, order, sorted_norms, gate_hull }
     }
+}
+
+/// Relative widening of [`PreparedCentroids::gate_hull`] and of the accept
+/// probe's distance bound. The float error of the gate's comparison and of
+/// `fl(sqrt(acc)) ≤ C_th` is a few `2⁻⁵³` relative; `2⁻⁴⁰` dwarfs it, so
+/// both screens only ever drop probes the full classification rejects.
+const SCREEN_REL_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The integer hull of probe totals the magnitude gate can accept (see
+/// [`PreparedCentroids::gate_hull`]). `as u64` saturates, so huge totals
+/// stay ordered.
+fn gate_hull(gate_totals: &[f64]) -> (u64, u64) {
+    let positive = gate_totals.iter().copied().filter(|&t| t > 0.0);
+    let (Some(min), Some(max)) = (positive.clone().reduce(f64::min), positive.reduce(f64::max))
+    else {
+        return (1, 0);
+    };
+    let tol = ClassifierModel::MAGNITUDE_TOLERANCE;
+    let lo = (min * (1.0 - tol) * (1.0 - SCREEN_REL_SLACK)).floor() as u64;
+    let hi = (max * (1.0 + tol) * (1.0 + SCREEN_REL_SLACK)).ceil() as u64;
+    (lo.saturating_sub(2), hi.saturating_add(2))
+}
+
+/// Outcome of one [`ClassifierModel::probe`], by the step that decided it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Probe {
+    /// Dropped by the magnitude or norm screen before any kernel distance.
+    Screened,
+    /// Reached the bounded scan and was not accepted.
+    Rejected,
+    /// Accepted: exactly [`Classification::Key`]'s `(ch, distance)`.
+    Key(char, f64),
 }
 
 /// Upper bound on the *relative* floating-point error of a computed norm
@@ -427,7 +467,7 @@ impl ClassifierModel {
     fn nearest_pruned(&self, v: &CounterSet) -> (usize, f64) {
         let av = whiten(v, &self.weights);
         let an = simdlite::sq_norm_fixed(&av).sqrt();
-        self.nearest_ordered(&av, an)
+        self.nearest_ordered(&av, an, f64::INFINITY)
     }
 
     /// The shared nearest-centroid kernel scan (per-delta and batched paths
@@ -459,12 +499,18 @@ impl ClassifierModel {
     /// Completed sums come from the same kernel in the same lane order, so
     /// the selected centroid and reported distance stay bit-identical to
     /// [`ClassifierModel::nearest_naive`].
-    fn nearest_ordered(&self, av: &[f64; NUM_TRACKED], an: f64) -> (usize, f64) {
+    ///
+    /// `cutoff` is the initial pruning bound: `f64::INFINITY` for a full
+    /// nearest-centroid search. A finite bound acts as a phantom incumbent —
+    /// every candidate whose squared distance is provably `>= cutoff` is
+    /// skipped — so the result is the true nearest centroid whenever that
+    /// centroid lies inside the bound, and `(0, ∞)` or some farther
+    /// in-bound centroid otherwise.
+    fn nearest_ordered(&self, av: &[f64; NUM_TRACKED], an: f64, mut cutoff: f64) -> (usize, f64) {
         let p = &self.prepared;
         let n = p.order.len();
         let mut best_idx = 0usize;
         let mut best_d = f64::INFINITY;
-        let mut cutoff = f64::INFINITY;
         // Rows below `an` live at [0, lo), rows at/above it at [hi, n);
         // retiring a direction empties its interval.
         let mut hi = p.sorted_norms.partition_point(|&x| x < an);
@@ -617,23 +663,83 @@ impl ClassifierModel {
             }
         }));
         for st in scratch.states.iter_mut() {
-            let (idx, d) = self.nearest_ordered(&st.av, st.an);
+            let (idx, d) = self.nearest_ordered(&st.av, st.an, f64::INFINITY);
             st.best_idx = idx;
             st.best_d = d;
         }
         // One histogram entry per probe at the amortised per-inference cost,
         // so the latency histogram's population matches the per-delta path
         // (Fig 25's claim is per inference, and the batch is one inference
-        // pass over `probes.len()` deltas).
+        // pass over `probes.len()` deltas). Every probe lands in the same
+        // bucket, so the burst publishes one pre-bucketed record and two
+        // counts instead of three map updates per probe.
         let per_probe_ns = started.elapsed().as_nanos() as u64 / probes.len() as u64;
+        let mut latency = [0u64; CLASSIFY_LATENCY_EDGES.len() + 1];
+        latency[spansight::Hist::bucket_of(CLASSIFY_LATENCY_EDGES, per_probe_ns)] =
+            probes.len() as u64;
+        let mut accepted = 0u64;
         for (st, probe) in scratch.states.iter().zip(probes) {
             let c = self.gate(st.best_idx, st.best_d, probe);
-            spansight::record("core.classify.latency_ns", CLASSIFY_LATENCY_EDGES, per_probe_ns);
-            match c {
-                Classification::Key { .. } => spansight::count("core.classify.accepted", 1),
-                Classification::Rejected { .. } => spansight::count("core.classify.rejected", 1),
-            }
+            accepted += u64::from(c.key().is_some());
             out.push(c);
+        }
+        spansight::record_bucketed("core.classify.latency_ns", CLASSIFY_LATENCY_EDGES, &latency);
+        count_nonzero("core.classify.accepted", accepted);
+        count_nonzero("core.classify.rejected", probes.len() as u64 - accepted);
+    }
+
+    /// The accept-only probe: `Some((ch, distance))` exactly when
+    /// [`ClassifierModel::classify`] would return
+    /// `Classification::Key { ch, distance }` (bit-identical distance),
+    /// `None` otherwise, and no telemetry.
+    ///
+    /// Algorithm 1's fallback cascade only ever asks whether a candidate
+    /// vector *is accepted*, and nearly all of its candidates are not, so
+    /// the probe screens before it searches:
+    ///
+    /// 1. **Magnitude screen.** A total outside the integer hull
+    ///    `[min gate_total·(1−tol), max gate_total·(1+tol)]` (precomputed,
+    ///    with slack) fails the magnitude gate against every centroid.
+    /// 2. **Norm screen.** Acceptance needs a centroid at rounded distance
+    ///    `≤ C_th`, i.e. squared distance below
+    ///    `cutoff = (C_th·(1+2⁻⁴⁰))²`. If the norm-gap lower bound rules out
+    ///    both norm-order neighbours of the probe against `cutoff`, the
+    ///    outward scan could not visit anything either.
+    /// 3. **Bounded scan.** `nearest_ordered` starts from `cutoff` instead
+    ///    of `∞`. Every centroid that could be accepted lies inside it, so
+    ///    when the nearest centroid is within `C_th` the scan returns that
+    ///    centroid — same argmin, same index tie-break, same distance.
+    /// 4. **Gate.** The unchanged acceptance decision.
+    pub fn accepts(&self, v: &CounterSet) -> Option<(char, f64)> {
+        match self.probe(v) {
+            Probe::Key(ch, distance) => Some((ch, distance)),
+            Probe::Screened | Probe::Rejected => None,
+        }
+    }
+
+    /// [`ClassifierModel::accepts`], reporting which step decided a
+    /// non-accept so the cascade can tally screened probes apart from
+    /// searched ones.
+    pub(crate) fn probe(&self, v: &CounterSet) -> Probe {
+        let p = &self.prepared;
+        let total = v.total();
+        if total < p.gate_hull.0 || total > p.gate_hull.1 {
+            return Probe::Screened;
+        }
+        let av = whiten(v, &self.weights);
+        let an = simdlite::sq_norm_fixed(&av).sqrt();
+        let bound = self.threshold * (1.0 + SCREEN_REL_SLACK);
+        let cutoff = bound * bound;
+        let k = p.sorted_norms.partition_point(|&x| x < an);
+        let below = k > 0 && !norm_gap_excludes(an, p.sorted_norms[k - 1], cutoff);
+        let above = k < p.sorted_norms.len() && !norm_gap_excludes(an, p.sorted_norms[k], cutoff);
+        if !below && !above {
+            return Probe::Screened;
+        }
+        let (idx, distance) = self.nearest_ordered(&av, an, cutoff);
+        match self.gate(idx, distance, v) {
+            Classification::Key { ch, distance } => Probe::Key(ch, distance),
+            Classification::Rejected { .. } => Probe::Rejected,
         }
     }
 
@@ -655,6 +761,14 @@ impl ClassifierModel {
             return Classification::Rejected { nearest: ch, distance };
         }
         Classification::Rejected { nearest: ch, distance }
+    }
+}
+
+/// Adds `n` to counter `name` unless it is zero, so a burst never creates
+/// an empty counter entry.
+pub(crate) fn count_nonzero(name: &'static str, n: u64) {
+    if n > 0 {
+        spansight::count(name, n);
     }
 }
 

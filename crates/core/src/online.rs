@@ -17,9 +17,10 @@
 //! [`infer_full_trace`] is the offline variant with one-step lookahead that
 //! the paper says requires the whole trace.
 
+use adreno_sim::counters::CounterSet;
 use adreno_sim::time::{SimDuration, SimInstant};
 
-use crate::classify::{Classification, ClassifierModel};
+use crate::classify::{count_nonzero, Classification, ClassifierModel, Probe};
 use crate::stage::Stage;
 use crate::trace::Delta;
 
@@ -82,13 +83,35 @@ pub struct InferenceStats {
 /// guessing post-processor.
 pub const CANDIDATES_PER_KEY: usize = 8;
 
+/// Outcomes of the fallback cascade's accept probes
+/// ([`ClassifierModel::accepts`]), tallied locally and published to
+/// telemetry once per change instead of once per probe.
+///
+/// `core.classify.accepted` / `core.classify.rejected` take the probes that
+/// reached a kernel distance (on top of each change's own classification);
+/// `core.classify.screened` takes those the magnitude or norm screen
+/// dropped first.
+#[derive(Debug, Clone, Copy, Default)]
+struct ProbeTally {
+    accepted: u64,
+    rejected: u64,
+    screened: u64,
+}
+
+impl ProbeTally {
+    fn publish(&mut self) {
+        count_nonzero("core.classify.accepted", self.accepted);
+        count_nonzero("core.classify.rejected", self.rejected);
+        count_nonzero("core.classify.screened", self.screened);
+        *self = ProbeTally::default();
+    }
+}
+
 /// Streaming implementation of Algorithm 1.
 #[derive(Debug)]
 pub struct OnlineInference<'m> {
     model: &'m ClassifierModel,
     config: OnlineConfig,
-    /// Precomputed field-redraw signatures for the peeling step.
-    ambient: Vec<adreno_sim::counters::CounterSet>,
     last_key_at: Option<SimInstant>,
     prev: Option<Delta>,
     inferred: Vec<InferredKey>,
@@ -97,6 +120,8 @@ pub struct OnlineInference<'m> {
     candidates: Vec<Vec<char>>,
     rejected: Vec<Delta>,
     stats: InferenceStats,
+    /// Probe outcomes of the change being decided, not yet published.
+    probes: ProbeTally,
 }
 
 impl<'m> OnlineInference<'m> {
@@ -105,13 +130,13 @@ impl<'m> OnlineInference<'m> {
         OnlineInference {
             model,
             config,
-            ambient: model.ambient_signatures().to_vec(),
             last_key_at: None,
             prev: None,
             inferred: Vec::new(),
             candidates: Vec::new(),
             rejected: Vec::new(),
             stats: InferenceStats::default(),
+            probes: ProbeTally::default(),
         }
     }
 
@@ -144,6 +169,52 @@ impl<'m> OnlineInference<'m> {
         decided_at: SimInstant,
         primary: Classification,
     ) {
+        self.decide(delta, decided_at, primary);
+        self.probes.publish();
+    }
+
+    /// Whether `v` is accepted as a key press, and as which key at what
+    /// distance — the only question the fallback cascade asks. Tallies the
+    /// probe's outcome for [`ProbeTally::publish`].
+    fn accepts(&mut self, v: &CounterSet) -> Option<(char, f64)> {
+        match self.model.probe(v) {
+            Probe::Key(ch, distance) => {
+                self.probes.accepted += 1;
+                Some((ch, distance))
+            }
+            Probe::Rejected => {
+                self.probes.rejected += 1;
+                None
+            }
+            Probe::Screened => {
+                self.probes.screened += 1;
+                None
+            }
+        }
+    }
+
+    /// Peels every ambient field-redraw signature off `v` and returns the
+    /// best-scoring accepted residual as `(key, signature, residual)`. A
+    /// wrong-length signature can leave a residual that still clears C_th
+    /// but lands on a *neighbouring* key; the true signature's residual is
+    /// exact and always scores better. Ties keep the earlier signature.
+    fn peel(&mut self, v: &CounterSet) -> Option<(char, CounterSet, CounterSet)> {
+        let model = self.model;
+        let mut best: Option<(f64, char, CounterSet, CounterSet)> = None;
+        for sig in model.ambient_signatures() {
+            let Some(residual) = v.checked_sub(sig) else { continue };
+            if let Some((ch, distance)) = self.accepts(&residual) {
+                if best.as_ref().is_none_or(|(d, ..)| distance < *d) {
+                    best = Some((distance, ch, *sig, residual));
+                }
+            }
+        }
+        best.map(|(_, ch, sig, residual)| (ch, sig, residual))
+    }
+
+    /// One change through Algorithm 1 (the body of
+    /// [`OnlineInference::process_classified`]).
+    fn decide(&mut self, delta: Delta, decided_at: SimInstant, primary: Classification) {
         // Step 1: duplication backtrace over T_l. Only changes that *look
         // like key presses* are animation duplicates; other changes inside
         // the window (such as the release echo) are ordinary noise and must
@@ -179,31 +250,12 @@ impl<'m> OnlineInference<'m> {
         // one read window; subtracting the known field-redraw signatures
         // recovers the popup. (Engineering extension beyond the paper's
         // Algorithm 1; see DESIGN.md.)
-        // Evaluate every signature and keep the best-scoring residual: a
-        // wrong-length signature can leave a residual that still clears
-        // C_th but lands on a *neighbouring* key; the true signature's
-        // residual is exact and always scores better.
-        let mut best: Option<(f64, InferredKey, Delta, adreno_sim::counters::CounterSet)> = None;
-        for sig in &self.ambient {
-            let Some(residual) = delta.values.checked_sub(sig) else { continue };
-            if let Classification::Key { ch, distance } = self.model.classify(&residual) {
-                if best.as_ref().is_none_or(|(d, _, _, _)| distance < *d) {
-                    // Report the consumed field redraw as a synthetic echo
-                    // so the downstream correction detector keeps its length
-                    // and blink anchoring intact.
-                    let echo = Delta { at: delta.at, values: *sig };
-                    best = Some((
-                        distance,
-                        InferredKey { at: delta.at, decided_at, ch, via_split: false },
-                        echo,
-                        residual,
-                    ));
-                }
-            }
-        }
-        if let Some((_, key, echo, residual)) = best {
-            self.accept(key, &residual);
-            self.rejected.push(echo);
+        if let Some((ch, sig, residual)) = self.peel(&delta.values) {
+            self.accept(InferredKey { at: delta.at, decided_at, ch, via_split: false }, &residual);
+            // Report the consumed field redraw as a synthetic echo so the
+            // downstream correction detector keeps its length and blink
+            // anchoring intact.
+            self.rejected.push(Delta { at: delta.at, values: sig });
             self.stats.peeled += 1;
             return;
         }
@@ -211,7 +263,7 @@ impl<'m> OnlineInference<'m> {
         if let Some(prev) = self.prev {
             if delta.at.saturating_since(prev.at) <= self.config.max_split_gap {
                 let combined = prev.values + delta.values;
-                if let Classification::Key { ch, .. } = self.model.classify(&combined) {
+                if let Some((ch, _)) = self.accepts(&combined) {
                     // Both fragments are consumed by the recombination.
                     self.prev = None;
                     self.accept(
@@ -226,21 +278,7 @@ impl<'m> OnlineInference<'m> {
                 // overshoots every centroid. Peel the known ambient
                 // signatures off the recombined sum, exactly as step 2b does
                 // for whole frames.
-                let mut best: Option<(
-                    f64,
-                    char,
-                    adreno_sim::counters::CounterSet,
-                    adreno_sim::counters::CounterSet,
-                )> = None;
-                for sig in &self.ambient {
-                    let Some(residual) = combined.checked_sub(sig) else { continue };
-                    if let Classification::Key { ch, distance } = self.model.classify(&residual) {
-                        if best.as_ref().is_none_or(|(d, _, _, _)| distance < *d) {
-                            best = Some((distance, ch, *sig, residual));
-                        }
-                    }
-                }
-                if let Some((_, ch, sig, residual)) = best {
+                if let Some((ch, sig, residual)) = self.peel(&combined) {
                     self.prev = None;
                     self.accept(
                         InferredKey { at: prev.at, decided_at, ch, via_split: true },
@@ -268,7 +306,7 @@ impl<'m> OnlineInference<'m> {
         }
     }
 
-    fn accept(&mut self, key: InferredKey, observed: &adreno_sim::counters::CounterSet) {
+    fn accept(&mut self, key: InferredKey, observed: &CounterSet) {
         self.last_key_at = Some(key.at);
         // An unconsumed leftover change is ordinary noise (usually an echo
         // frame); it must still reach the downstream correction detector.
@@ -500,7 +538,8 @@ impl<'m> InferStage<'m> {
     /// The lookahead fix, deciding `current` now that `next` is known:
     /// would `(current, next)` make a better split pair than
     /// `(prev, current)`? If so, drop `prev` to noise so the greedy step
-    /// pairs `current` with `next`.
+    /// pairs `current` with `next`. Its two probes are published with the
+    /// tally of `current`'s decision, which always follows.
     fn lookahead_defer(&mut self, current: &Delta, next: &Delta) {
         let Some(prev) = self.engine.prev else { return };
         let config = self.engine.config;
@@ -510,14 +549,9 @@ impl<'m> InferStage<'m> {
         if next.at.saturating_since(current.at) > config.max_split_gap {
             return;
         }
-        let model = self.engine.model;
-        let with_prev = model.classify(&(prev.values + current.values));
-        let with_next = model.classify(&(current.values + next.values));
-        let dist = |c: &Classification| match c {
-            Classification::Key { distance, .. } => Some(*distance),
-            Classification::Rejected { .. } => None,
-        };
-        if let (Some(dp), Some(dn)) = (dist(&with_prev), dist(&with_next)) {
+        let with_prev = self.engine.accepts(&(prev.values + current.values));
+        let with_next = self.engine.accepts(&(current.values + next.values));
+        if let (Some((_, dp)), Some((_, dn))) = (with_prev, with_next) {
             if dn < dp {
                 self.engine.rejected.push(prev);
                 self.engine.stats.noise += 1;

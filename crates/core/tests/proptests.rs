@@ -32,10 +32,17 @@ fn arb_set(max: u64) -> impl Strategy<Value = CounterSet> {
 
 /// An arbitrary well-formed model: distinct chars, positive threshold.
 fn arb_model() -> impl Strategy<Value = ClassifierModel> {
+    arb_model_with(2_000_000)
+}
+
+/// [`arb_model`] with centroid counters below `centroid_max`. Small
+/// centroids put the magnitude gate's ±8 % band within reach of `C_th`, so
+/// probes at its edges can still be accepted on distance.
+fn arb_model_with(centroid_max: u64) -> impl Strategy<Value = ClassifierModel> {
     (
         prop::collection::btree_map(
             prop::char::range('a', 'z'),
-            arb_set(2_000_000).prop_filter("nonzero centroid", |s| s.total() > 0),
+            arb_set(centroid_max).prop_filter("nonzero centroid", |s| s.total() > 0),
             1..12,
         ),
         0.1f64..200.0,
@@ -306,6 +313,92 @@ proptest! {
             let (pr_ch, pr_d) = model.nearest(v);
             prop_assert_eq!(pr_ch, nn_ch);
             prop_assert_eq!(pr_d.to_bits(), nn_d.to_bits(), "distance must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn accept_probe_matches_naive_key_payload(
+        model in arb_model(),
+        compact in arb_model_with(300),
+        jitters in prop::collection::vec(prop::collection::vec(-40i64..40, NUM_TRACKED), 1..6),
+        raw in prop::collection::vec(arb_set(2_500_000), 0..8),
+    ) {
+        // The accept probe skips work the full classification does (the
+        // magnitude hull, the norm screen, the bounded scan), so it must
+        // return `Some((ch, distance))` exactly when the naive oracle says
+        // `Key { ch, distance }` — distance bit-identical — and `None`
+        // otherwise. Probes sit on every screen's edge.
+        let offset = |c: &CounterSet, d: &[i64]| {
+            let mut out = *c.as_array();
+            for (o, &x) in out.iter_mut().zip(d) {
+                *o = o.saturating_add_signed(x);
+            }
+            CounterSet::from_array(out)
+        };
+        for model in [&model, &compact] {
+            let th = model.threshold();
+            let mut probes = raw.clone();
+            for c in model.centroids() {
+                probes.push(c.values);
+                // Jittered centroids.
+                for j in &jitters {
+                    probes.push(offset(&c.values, j));
+                }
+                // A popup frame sharing a read window with a field redraw.
+                for sig in model.ambient_signatures() {
+                    probes.push(c.values + *sig);
+                }
+                // Totals one either side of the magnitude gate's edges,
+                // spread over every counter so the distance stays small.
+                let t = c.values.total() as f64;
+                let tol = ClassifierModel::MAGNITUDE_TOLERANCE;
+                for edge in [t * (1.0 - tol), t * (1.0 + tol)] {
+                    for target in [edge.floor() - 1.0, edge.round(), edge.ceil() + 1.0] {
+                        let diff = target as i64 - t as i64;
+                        let n = NUM_TRACKED as i64;
+                        let (base, rem) = (diff / n, diff % n);
+                        let spread: Vec<i64> = (0..n)
+                            .map(|i| base + i64::from(i < rem.abs()) * rem.signum())
+                            .collect();
+                        probes.push(offset(&c.values, &spread));
+                    }
+                }
+                // Along one counter, distance is the exact integer offset:
+                // floor(C_th) lands inside, floor(C_th) + 1 just outside.
+                let inside = th.floor() as i64;
+                for (axis, sign) in [(0, 1), (NUM_TRACKED - 1, -1)] {
+                    for k in [inside, inside + 1] {
+                        let mut d = vec![0i64; NUM_TRACKED];
+                        d[axis] = sign * k;
+                        probes.push(offset(&c.values, &d));
+                    }
+                }
+                // Along a jitter direction, the last multiple inside C_th and
+                // the first outside.
+                for j in &jitters {
+                    let norm = j.iter().map(|&x| (x * x) as f64).sum::<f64>().sqrt();
+                    if norm == 0.0 {
+                        continue;
+                    }
+                    let k_in = (th / norm).floor() as i64;
+                    for k in [k_in, k_in + 1] {
+                        let d: Vec<i64> = j.iter().map(|&x| x * k).collect();
+                        probes.push(offset(&c.values, &d));
+                    }
+                }
+            }
+            let mut accepted = 0;
+            for v in &probes {
+                let want = match model.classify_naive(v) {
+                    Classification::Key { ch, distance } => Some((ch, distance.to_bits())),
+                    Classification::Rejected { .. } => None,
+                };
+                let got = model.accepts(v).map(|(ch, d)| (ch, d.to_bits()));
+                prop_assert_eq!(got, want, "probe {:?}", v);
+                accepted += usize::from(got.is_some());
+            }
+            // Exact centroids are accepted, so the property is never vacuous.
+            prop_assert!(accepted > 0);
         }
     }
 
